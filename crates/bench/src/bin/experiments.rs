@@ -157,15 +157,18 @@ fn main() {
         std::fs::write(path, sesemi_bench::sims::bench_document(&well, &saturated))
             .expect("write bench json");
         for (label, run) in [("well_provisioned", &well), ("saturated", &saturated)] {
+            let peak_rss = match &run.peak_rss_bytes {
+                Ok(bytes) => format!("{} MiB", bytes / (1024 * 1024)),
+                Err(reason) => format!("unavailable ({reason})"),
+            };
             eprintln!(
                 "{label}: {:.1}s generate + {:.1}s simulate + {:.1}s report, \
-                 {:.0} events/s, {:.0} requests/s, peak RSS {} MiB",
+                 {:.0} events/s, {:.0} requests/s, peak RSS {peak_rss}",
                 run.generate_seconds,
                 run.simulate_seconds,
                 run.report_seconds,
                 run.events_per_sec(),
                 run.requests_per_sec(),
-                run.peak_rss_bytes / (1024 * 1024)
             );
         }
         eprintln!("wrote {path}");

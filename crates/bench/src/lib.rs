@@ -43,9 +43,12 @@ pub mod sims;
 
 pub use report::Report;
 
+/// An experiment runner: takes the experiment seed (closed-form
+/// experiments ignore it) and returns its report.
+pub type Runner = fn(u64) -> Report;
+
 /// The experiment registry: `(report id, runner)` in presentation order.
-/// The runners take the experiment seed (closed-form experiments ignore it).
-pub const EXPERIMENTS: [(&str, fn(u64) -> Report); 22] = [
+pub const EXPERIMENTS: [(&str, Runner); 22] = [
     ("T1", |_| micro::table1_models()),
     ("F8", |_| micro::fig8_stage_ratio()),
     ("F9", |_| micro::fig9_invocation_paths()),

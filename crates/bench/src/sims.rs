@@ -1187,9 +1187,13 @@ pub struct BenchRun {
     /// Wall-clock seconds spent on the metric queries a report issues
     /// (percentiles and windowed time-series means).
     pub report_seconds: f64,
-    /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`;
-    /// 0 where the proxy is unavailable).
-    pub peak_rss_bytes: u64,
+    /// This run's own peak resident set size in bytes: `VmHWM` from
+    /// `/proc/self/status`, reset to the current RSS when the run starts so
+    /// an earlier run in the same process does not leak its peak into this
+    /// one.  Runs executing concurrently in one process (the parallel
+    /// sweep) share the mark.  `Err` says why no figure of the run's own
+    /// exists.
+    pub peak_rss_bytes: Result<u64, String>,
 }
 
 impl BenchRun {
@@ -1235,10 +1239,15 @@ impl BenchRun {
 
     /// One provisioning regime's section of the bench document: the
     /// deterministic slice plus the per-phase wall-clock breakdown,
-    /// throughput figures and the peak-RSS proxy.
+    /// throughput figures and the section's own peak RSS (`null`, with the
+    /// reason in `peak_rss_error`, when it could not be measured).
     #[must_use]
     pub fn section_json(&self) -> String {
         let deterministic = indent_block(&self.deterministic_json(), "  ");
+        let peak_rss = match &self.peak_rss_bytes {
+            Ok(bytes) => bytes.to_string(),
+            Err(reason) => format!("null,\n  \"peak_rss_error\": {reason:?}"),
+        };
         format!(
             "{{\n  \"deterministic\": {deterministic},\n  \
              \"timing\": {{\n    \"generate_seconds\": {:.6},\n    \
@@ -1252,7 +1261,7 @@ impl BenchRun {
             self.generate_seconds + self.simulate_seconds + self.report_seconds,
             self.events_per_sec(),
             self.requests_per_sec(),
-            self.peak_rss_bytes,
+            peak_rss,
         )
     }
 }
@@ -1277,20 +1286,25 @@ fn indent_block(block: &str, indent: &str) -> String {
     block.replace('\n', &format!("\n{indent}"))
 }
 
+/// Resets the process's peak resident set size (`VmHWM`) to its current
+/// RSS by writing `5` to `/proc/self/clear_refs` (Linux ≥ 4.0).
+fn reset_peak_rss() -> Result<(), String> {
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|error| format!("resetting VmHWM via /proc/self/clear_refs failed: {error}"))
+}
+
 /// Peak resident set size in bytes, read from `/proc/self/status` (`VmHWM`).
-/// Returns 0 when the proxy is unavailable (non-Linux hosts).
-#[must_use]
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status.lines().find_map(|line| {
-                let rest = line.strip_prefix("VmHWM:")?;
-                let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-                Some(kib * 1024)
-            })
+fn peak_rss_bytes() -> Result<u64, String> {
+    let status = std::fs::read_to_string("/proc/self/status")
+        .map_err(|error| format!("reading /proc/self/status failed: {error}"))?;
+    status
+        .lines()
+        .find_map(|line| {
+            let rest = line.strip_prefix("VmHWM:")?;
+            let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+            Some(kib * 1024)
         })
-        .unwrap_or(0)
+        .ok_or_else(|| "no VmHWM line in /proc/self/status".to_string())
 }
 
 /// The bench cluster: 16 SGX2 nodes, each sized for four 4-TCS containers of
@@ -1369,6 +1383,7 @@ fn timed_bench_run(
         mean_dwell: BENCH_DWELL,
     };
 
+    let rss_reset = reset_peak_rss();
     let generate_started = std::time::Instant::now();
     let mut rng = SimRng::seed_from_u64(seed);
     let arrivals = process.generate(&hot, 0, duration, &mut rng);
@@ -1413,7 +1428,7 @@ fn timed_bench_run(
         generate_seconds,
         simulate_seconds,
         report_seconds,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: rss_reset.and_then(|()| peak_rss_bytes()),
     }
 }
 
@@ -1788,6 +1803,24 @@ mod tests {
             "elastic pool ({:.0} GB·s) should measurably undercut the fixed pool ({:.0} GB·s)",
             elastic.node_gb_seconds,
             fixed.node_gb_seconds
+        );
+    }
+
+    #[test]
+    fn each_bench_section_reports_its_own_peak_rss_or_says_why_not() {
+        let mut run = bench_trace(2_000, 7);
+        if cfg!(target_os = "linux") {
+            let peak = run.peak_rss_bytes.clone().expect("VmHWM resets on Linux");
+            assert!(peak > 0);
+            assert!(run
+                .section_json()
+                .contains(&format!("\"peak_rss_bytes\": {peak}\n")));
+        }
+        run.peak_rss_bytes = Err("no /proc".to_string());
+        let section = run.section_json();
+        assert!(
+            section.contains("\"peak_rss_bytes\": null,\n  \"peak_rss_error\": \"no /proc\"\n}"),
+            "{section}"
         );
     }
 }

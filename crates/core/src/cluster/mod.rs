@@ -74,9 +74,9 @@ use sesemi_platform::{
     PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
 };
 use sesemi_runtime::{InvocationPath, InvocationReport, ServingStage};
-use sesemi_sim::{EventQueue, LatencyStats, SimDuration, SimRng, SimTime, TimeSeries};
+use sesemi_sim::{Delivery, EventQueue, Lanes, LatencyStats, SimDuration, SimTime, TimeSeries};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
-use state::{Event, SandboxSimState, SimRequest};
+use state::{Event, InFlight, Invocation, SandboxSimState, SimRequest};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -248,7 +248,14 @@ pub struct ClusterSimulation {
     controller: Controller,
     action_models: HashMap<ActionName, Vec<ModelId>>,
     sandbox_state: HashMap<SandboxId, SandboxSimState>,
+    /// Runtime events only: O(in-flight) deep, never O(trace).
     queue: EventQueue<Event>,
+    /// The open-loop arrival traces, one sorted lane per
+    /// [`ClusterSimulation::add_arrivals`] call, merged with `queue` at
+    /// delivery time.
+    arrivals: Lanes<RequestArrival>,
+    /// Started invocations, indexed by their `InvocationDone` events.
+    inflight: InFlight,
     /// Requests admitted but waiting for cluster capacity, with the action
     /// the router bound them to at admission.
     saturated: VecDeque<(ActionName, SimRequest)>,
@@ -321,7 +328,6 @@ pub struct ClusterSimulation {
     peak_sandboxes: usize,
     peak_nodes: usize,
     session_latencies: Vec<(String, ModelId, SimDuration)>,
-    _rng: SimRng,
 }
 
 impl ClusterSimulation {
@@ -383,7 +389,6 @@ impl ClusterSimulation {
             }
         }
 
-        let rng = SimRng::seed_from_u64(config.seed);
         let nodes = config.nodes;
         let scheduler = config.scheduler.build(nodes);
         let lifecycle = config.lifecycle.build();
@@ -428,6 +433,8 @@ impl ClusterSimulation {
             action_models,
             sandbox_state: HashMap::new(),
             queue: EventQueue::new(),
+            arrivals: Lanes::new(|arrival| arrival.at),
+            inflight: InFlight::default(),
             saturated: VecDeque::new(),
             saturated_action_counts: HashMap::new(),
             sessions: Vec::new(),
@@ -483,7 +490,6 @@ impl ClusterSimulation {
             peak_sandboxes: 0,
             peak_nodes: nodes,
             session_latencies: Vec::new(),
-            _rng: rng,
             config,
         }
     }
@@ -501,22 +507,12 @@ impl ClusterSimulation {
         self.users[index]
     }
 
-    /// Adds a pre-generated open-loop arrival trace.
+    /// Adds a pre-generated open-loop arrival trace.  The trace streams
+    /// from its own lane beside the event queue instead of entering it, and
+    /// is delivered exactly as if each arrival had been queued now, in
+    /// input order (see [`Lanes`]).
     pub fn add_arrivals(&mut self, arrivals: Vec<RequestArrival>) {
-        for arrival in arrivals {
-            self.queue.push(
-                arrival.at,
-                Event::Arrival(SimRequest {
-                    model: arrival.model,
-                    user_index: arrival.user_index,
-                    submitted: arrival.at,
-                    session: None,
-                    tier: arrival.tier,
-                    deadline: arrival.deadline,
-                    cold_start: false,
-                }),
-            );
-        }
+        self.arrivals.add(&mut self.queue, arrivals);
     }
 
     /// Compiles a declarative [`FaultPlan`] into failure-injection events.
@@ -549,26 +545,27 @@ impl ClusterSimulation {
 
     /// Adds a closed-loop interactive session.
     pub fn add_session(&mut self, session: InteractiveSession) {
-        let index = self.sessions.len();
-        let start = session.start;
-        let first_model = session
-            .next_model()
-            .cloned()
-            .expect("sessions have at least one model");
-        let user_index = session.user_index;
+        self.queue
+            .push(session.start, Event::SessionArrival(self.sessions.len()));
         self.sessions.push(session);
-        self.queue.push(
-            start,
-            Event::Arrival(SimRequest {
-                model: first_model,
-                user_index,
-                submitted: start,
-                session: Some(index),
-                tier: Tier::default(),
-                deadline: None,
-                cold_start: false,
-            }),
-        );
+    }
+
+    /// The query closed-loop session `index` issues at `now`: its next
+    /// model, for its user.
+    fn session_request(&self, index: usize, now: SimTime) -> SimRequest {
+        let session = &self.sessions[index];
+        SimRequest {
+            model: session
+                .next_model()
+                .cloned()
+                .expect("a session arrival is only queued for an unfinished session"),
+            user_index: session.user_index,
+            submitted: now,
+            session: Some(index),
+            tier: Tier::default(),
+            deadline: None,
+            cold_start: false,
+        }
     }
 
     /// Schedules one invocation of `action` for `model`: reuse a warm
@@ -836,20 +833,18 @@ impl ClusterSimulation {
             })
         };
 
-        self.queue.push(
-            now + duration,
-            Event::InvocationDone {
-                sandbox: sandbox_id,
-                slot,
-                node,
-                action,
-                request,
-                extra: extras,
-                path,
-                enclave_was_initialized,
-                started: now,
-            },
-        );
+        let id = self.inflight.insert(Invocation {
+            sandbox: sandbox_id,
+            slot,
+            node,
+            action,
+            request,
+            extra: extras,
+            path,
+            enclave_was_initialized,
+            started: now,
+        });
+        self.queue.push(now + duration, Event::InvocationDone(id));
     }
 
     /// Hands a successfully scheduled request to its sandbox: cold starts
@@ -899,17 +894,16 @@ impl ClusterSimulation {
                 // and fetches its keys before serving: the sandbox is ready
                 // only once its provision drains the user's home replica —
                 // cold-path latency is now a function of KeyService load.
-                match self.keyservice.provision(sandbox_id, user_index, boot_done) {
-                    Some((provisioned, wait)) => {
-                        self.provisioned_keys += 1;
-                        self.keyservice_wait += wait;
-                        self.queue
-                            .push(provisioned, Event::SandboxReady(sandbox_id));
-                    }
-                    // Total trust-plane outage: the sandbox never becomes
-                    // ready and its parked requests are counted `dropped`
-                    // at the horizon — conservation, not liveness.
-                    None => {}
+                // On a total trust-plane outage (`None`) the sandbox never
+                // becomes ready and its parked requests are counted
+                // `dropped` at the horizon — conservation, not liveness.
+                if let Some((provisioned, wait)) =
+                    self.keyservice.provision(sandbox_id, user_index, boot_done)
+                {
+                    self.provisioned_keys += 1;
+                    self.keyservice_wait += wait;
+                    self.queue
+                        .push(provisioned, Event::SandboxReady(sandbox_id));
                 }
             } else {
                 self.queue.push(boot_done, Event::SandboxReady(sandbox_id));
@@ -920,6 +914,19 @@ impl ClusterSimulation {
             entry.waiting.push_back(request);
         } else {
             self.start_invocation(sandbox_id, request, extras, now);
+        }
+    }
+
+    /// Delivers an arrival: admitted if it was issued within the
+    /// measurement horizon, refused otherwise.
+    fn admit_or_refuse(&mut self, request: SimRequest, now: SimTime, end: SimTime) {
+        if request.at_or_before(end) {
+            self.handle_arrival(request, now);
+        } else {
+            // Issued past the measurement horizon (closed-loop session
+            // follow-ups, trace items beyond it): refused at admission,
+            // traced instead of silently discarded.
+            self.rejected += 1;
         }
     }
 
@@ -1013,7 +1020,6 @@ impl ClusterSimulation {
             mean_service,
         };
         let verdict = self.admission.decide(&ctx);
-        drop(ctx);
         self.admission_queued_scratch = queued;
         verdict
     }
@@ -1194,20 +1200,18 @@ impl ClusterSimulation {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_done(
-        &mut self,
-        sandbox_id: SandboxId,
-        slot: usize,
-        node: usize,
-        action: ActionName,
-        request: SimRequest,
-        extra: Vec<SimRequest>,
-        path: InvocationPath,
-        enclave_was_initialized: bool,
-        started: SimTime,
-        now: SimTime,
-    ) {
+    fn handle_done(&mut self, invocation: Invocation, now: SimTime) {
+        let Invocation {
+            sandbox: sandbox_id,
+            slot,
+            node,
+            action,
+            request,
+            extra,
+            path,
+            enclave_was_initialized,
+            started,
+        } = invocation;
         let memory_budget_bytes = self
             .controller
             .sandbox(sandbox_id)
@@ -1273,20 +1277,8 @@ impl ClusterSimulation {
                 self.session_latencies
                     .push((session.name.clone(), request.model.clone(), latency));
                 session.advance();
-                if let Some(next_model) = session.next_model().cloned() {
-                    let user_index = session.user_index;
-                    self.queue.push(
-                        now,
-                        Event::Arrival(SimRequest {
-                            model: next_model,
-                            user_index,
-                            submitted: now,
-                            session: Some(session_index),
-                            tier: Tier::default(),
-                            deadline: None,
-                            cold_start: false,
-                        }),
-                    );
+                if !session.is_finished() {
+                    self.queue.push(now, Event::SessionArrival(session_index));
                 }
             }
         }
@@ -1378,20 +1370,21 @@ impl ClusterSimulation {
             return;
         }
         self.accrue_busy_time(now);
+        let inflight = &self.inflight;
         let cancelled = self.queue.extract(|_, event| {
-            matches!(event, Event::InvocationDone { sandbox, .. } if killed.contains(sandbox))
+            matches!(event, Event::InvocationDone(id) if killed.contains(&inflight.get(*id).sandbox))
         });
         let mut rescued: Vec<(ActionName, SimRequest)> = Vec::new();
         for (_, event) in cancelled {
-            if let Event::InvocationDone {
-                node,
-                action,
-                request,
-                extra,
-                enclave_was_initialized,
-                ..
-            } = event
-            {
+            if let Event::InvocationDone(id) = event {
+                let Invocation {
+                    node,
+                    action,
+                    request,
+                    extra,
+                    enclave_was_initialized,
+                    ..
+                } = self.inflight.remove(id);
                 self.node_active_exec[node] = self.node_active_exec[node].saturating_sub(1);
                 if enclave_was_initialized {
                     self.node_enclave_inits[node] = self.node_enclave_inits[node].saturating_sub(1);
@@ -1838,6 +1831,43 @@ impl ClusterSimulation {
         self.record_cluster_state(now);
     }
 
+    /// Dispatches one runtime event popped from the heap at `now`; `end`
+    /// is the measurement horizon.
+    fn handle_event(&mut self, event: Event, now: SimTime, end: SimTime) {
+        match event {
+            Event::SessionArrival(index) => {
+                let request = self.session_request(index, now);
+                self.admit_or_refuse(request, now, end);
+            }
+            Event::SandboxReady(sandbox) => self.handle_sandbox_ready(sandbox, now),
+            Event::InvocationDone(id) => {
+                let invocation = self.inflight.remove(id);
+                self.handle_done(invocation, now);
+            }
+            Event::EvictionTick => self.handle_eviction(now),
+            Event::AutoscaleTick => self.handle_autoscale_tick(now),
+            // Post-horizon fault events were discarded before the loop,
+            // so every fault that pops here is inside the measurement
+            // window.
+            Event::NodeCrash { node } => self.handle_node_crash(node, now),
+            Event::ContainerKill { model } => self.handle_container_kill(&model, now),
+            Event::KeyServiceCrash { replica } => self.handle_keyservice_crash(replica, now),
+            Event::NodeProvisioned => {
+                if now <= end {
+                    self.handle_node_provisioned(now);
+                } else {
+                    // Provisioning finished past the measurement
+                    // horizon: no new work can arrive, so the machine
+                    // never joins — acknowledge it to the policy but
+                    // keep it out of peak_nodes and the capacity bill.
+                    if let Some(scaler) = self.autoscaler.as_mut() {
+                        scaler.node_provisioned();
+                    }
+                }
+            }
+        }
+    }
+
     /// Runs the simulation until `horizon` (events after the horizon are
     /// still drained so every admitted request completes) and returns the
     /// aggregated results.
@@ -1877,63 +1907,11 @@ impl ClusterSimulation {
                 )
         });
 
-        while let Some((now, event)) = self.queue.pop() {
+        while let Some((now, delivery)) = self.arrivals.pop(&mut self.queue) {
             self.events_processed += 1;
-            match event {
-                Event::Arrival(request) => {
-                    if request.at_or_before(end) {
-                        self.handle_arrival(request, now);
-                    } else {
-                        // Issued past the measurement horizon (closed-loop
-                        // session follow-ups): refused at admission, traced
-                        // instead of silently discarded.
-                        self.rejected += 1;
-                    }
-                }
-                Event::SandboxReady(sandbox) => self.handle_sandbox_ready(sandbox, now),
-                Event::InvocationDone {
-                    sandbox,
-                    slot,
-                    node,
-                    action,
-                    request,
-                    extra,
-                    path,
-                    enclave_was_initialized,
-                    started,
-                } => self.handle_done(
-                    sandbox,
-                    slot,
-                    node,
-                    action,
-                    request,
-                    extra,
-                    path,
-                    enclave_was_initialized,
-                    started,
-                    now,
-                ),
-                Event::EvictionTick => self.handle_eviction(now),
-                Event::AutoscaleTick => self.handle_autoscale_tick(now),
-                // Post-horizon fault events were discarded before the loop,
-                // so every fault that pops here is inside the measurement
-                // window.
-                Event::NodeCrash { node } => self.handle_node_crash(node, now),
-                Event::ContainerKill { model } => self.handle_container_kill(&model, now),
-                Event::KeyServiceCrash { replica } => self.handle_keyservice_crash(replica, now),
-                Event::NodeProvisioned => {
-                    if now <= end {
-                        self.handle_node_provisioned(now);
-                    } else {
-                        // Provisioning finished past the measurement
-                        // horizon: no new work can arrive, so the machine
-                        // never joins — acknowledge it to the policy but
-                        // keep it out of peak_nodes and the capacity bill.
-                        if let Some(scaler) = self.autoscaler.as_mut() {
-                            scaler.node_provisioned();
-                        }
-                    }
-                }
+            match delivery {
+                Delivery::Lane(arrival) => self.admit_or_refuse(arrival.into(), now, end),
+                Delivery::Heap(event) => self.handle_event(event, now, end),
             }
         }
 
@@ -1946,7 +1924,7 @@ impl ClusterSimulation {
             .values()
             .map(|state| state.waiting.len() as u64)
             .sum::<u64>();
-        debug_assert_eq!(
+        assert_eq!(
             self.admitted,
             self.completed + self.dropped,
             "request conservation violated: admitted != completed + dropped"
@@ -1966,12 +1944,12 @@ impl ClusterSimulation {
             .map(|(model, hits)| (model.as_str().to_string(), *hits))
             .collect();
         per_model_warm_hits.sort_by(|a, b| a.0.cmp(&b.0));
-        debug_assert_eq!(
+        assert_eq!(
             per_model_warm_hits.iter().map(|(_, n)| n).sum::<u64>() + self.cold_dispatches,
             self.dispatched,
             "warm-hit ledger out of balance"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.controller.cold_start_count(),
             self.cold_dispatches + self.auxiliary_cold_starts,
             "cold-start ledger out of balance"
@@ -2064,6 +2042,7 @@ pub fn strong_isolation_hot_latency(profile: &ModelProfile) -> SimDuration {
 mod tests {
     use super::*;
     use sesemi_inference::{Framework, ModelKind};
+    use sesemi_sim::SimRng;
     use sesemi_workload::ArrivalProcess;
 
     fn profile(kind: ModelKind, framework: Framework) -> (ModelId, ModelProfile) {
@@ -3129,7 +3108,7 @@ mod tests {
                 keyservice,
                 ..ClusterConfig::single_node_sgx2()
             };
-            let mut sim = ClusterSimulation::new(config, vec![(model.clone(), profile.clone())]);
+            let mut sim = ClusterSimulation::new(config, vec![(model.clone(), profile)]);
             sim.add_arrivals(poisson_trace(&model, 2.0, 30, 3));
             sim.run(SimDuration::from_secs(30))
         };

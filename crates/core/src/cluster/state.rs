@@ -6,7 +6,7 @@ use sesemi_keyservice::PartyId;
 use sesemi_platform::{ActionName, SandboxId};
 use sesemi_runtime::InvocationPath;
 use sesemi_sim::{LatencyStats, SimDuration, SimTime, TimeSeries};
-use sesemi_workload::Tier;
+use sesemi_workload::{RequestArrival, Tier};
 use std::collections::{HashMap, VecDeque};
 
 /// One simulated request.
@@ -31,24 +31,95 @@ impl SimRequest {
     }
 }
 
+impl From<RequestArrival> for SimRequest {
+    fn from(arrival: RequestArrival) -> Self {
+        SimRequest {
+            model: arrival.model,
+            user_index: arrival.user_index,
+            submitted: arrival.at,
+            session: None,
+            tier: arrival.tier,
+            deadline: arrival.deadline,
+            cold_start: false,
+        }
+    }
+}
+
+/// One started invocation, held in the [`InFlight`] slab from its start
+/// until its `InvocationDone` event fires (or a fault cancels it).
+#[derive(Debug)]
+pub(super) struct Invocation {
+    pub(super) sandbox: SandboxId,
+    pub(super) slot: usize,
+    pub(super) node: usize,
+    pub(super) action: ActionName,
+    pub(super) request: SimRequest,
+    /// Requests coalesced into this dispatch behind `request` (the batch
+    /// head).  Empty — and allocation-free — on every unbatched run; each
+    /// member gets its own completion accounting in `handle_done`.
+    pub(super) extra: Vec<SimRequest>,
+    pub(super) path: InvocationPath,
+    pub(super) enclave_was_initialized: bool,
+    pub(super) started: SimTime,
+}
+
+/// Index of an [`Invocation`] in the [`InFlight`] slab.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct InvocationId(u32);
+
+/// Slab of in-flight invocations: events carry a 4-byte [`InvocationId`]
+/// instead of the whole record, and freed ids are reused, so the slab stays
+/// as small as the peak number of concurrent invocations.
+#[derive(Debug, Default)]
+pub(super) struct InFlight {
+    slots: Vec<Option<Invocation>>,
+    free: Vec<InvocationId>,
+}
+
+impl InFlight {
+    pub(super) fn insert(&mut self, invocation: Invocation) -> InvocationId {
+        match self.free.pop() {
+            Some(id) => {
+                self.slots[id.0 as usize] = Some(invocation);
+                id
+            }
+            None => {
+                let id = InvocationId(
+                    u32::try_from(self.slots.len()).expect("fewer than 2^32 in-flight invocations"),
+                );
+                self.slots.push(Some(invocation));
+                id
+            }
+        }
+    }
+
+    pub(super) fn get(&self, id: InvocationId) -> &Invocation {
+        self.slots[id.0 as usize]
+            .as_ref()
+            .expect("in-flight invocation is live")
+    }
+
+    pub(super) fn remove(&mut self, id: InvocationId) -> Invocation {
+        let invocation = self.slots[id.0 as usize]
+            .take()
+            .expect("in-flight invocation is live");
+        self.free.push(id);
+        invocation
+    }
+}
+
+/// A runtime event in the simulator's heap.  Open-loop arrivals never enter
+/// the heap (they stream from the arrival lanes), and bulky payloads live
+/// out of line, so an event is a few words.
 #[derive(Debug)]
 pub(super) enum Event {
-    Arrival(SimRequest),
+    /// The next query of closed-loop session `index`: its request is
+    /// derived from the session at delivery (the session's next model, its
+    /// user, submitted at the delivery instant), since a session has at
+    /// most one query outstanding.
+    SessionArrival(usize),
     SandboxReady(SandboxId),
-    InvocationDone {
-        sandbox: SandboxId,
-        slot: usize,
-        node: usize,
-        action: ActionName,
-        request: SimRequest,
-        /// Requests coalesced into this dispatch behind `request` (the batch
-        /// head).  Empty — and allocation-free — on every unbatched run;
-        /// each member gets its own completion accounting in `handle_done`.
-        extra: Vec<SimRequest>,
-        path: InvocationPath,
-        enclave_was_initialized: bool,
-        started: SimTime,
-    },
+    InvocationDone(InvocationId),
     EvictionTick,
     /// Periodic autoscaler sampling (only scheduled when autoscaling is
     /// configured).
@@ -77,6 +148,11 @@ pub(super) enum Event {
         replica: usize,
     },
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Event>() <= 32,
+    "Event must stay a few words"
+);
 
 /// Cached enclave state of one simulated sandbox.
 #[derive(Clone, Debug)]

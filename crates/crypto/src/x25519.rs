@@ -107,11 +107,7 @@ impl Fe {
     }
 
     fn add(self, other: Fe) -> Fe {
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + other.0[i];
-        }
-        Fe(out).carry()
+        Fe(std::array::from_fn(|i| self.0[i] + other.0[i])).carry()
     }
 
     fn sub(self, other: Fe) -> Fe {
@@ -190,11 +186,9 @@ impl Fe {
     }
 
     fn mul_small(self, scalar: u64) -> Fe {
-        let mut c = [0u128; 5];
-        for i in 0..5 {
-            c[i] = self.0[i] as u128 * scalar as u128;
-        }
-        Fe::carry_wide(c)
+        Fe::carry_wide(std::array::from_fn(|i| {
+            u128::from(self.0[i]) * u128::from(scalar)
+        }))
     }
 }
 
@@ -277,7 +271,7 @@ impl std::fmt::Debug for EphemeralKeyPair {
         write!(
             f,
             "EphemeralKeyPair(public={})",
-            crate::sha256::sha256(self.public).to_hex()[..8].to_string()
+            &crate::sha256::sha256(self.public).to_hex()[..8]
         )
     }
 }

@@ -776,7 +776,7 @@ mod tests {
                 .seed(19)
                 .nodes(2)
                 .keyservice(keyservice)
-                .model(model.clone(), profile.clone())
+                .model(model.clone(), profile)
                 .traffic(
                     model.clone(),
                     0,

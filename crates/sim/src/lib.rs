@@ -6,7 +6,8 @@
 //!
 //! The toolkit is deliberately generic: it provides a virtual clock
 //! ([`SimTime`] / [`SimDuration`]), a deterministic event queue
-//! ([`EventQueue`]), seeded random-number helpers ([`SimRng`]) and metric
+//! ([`EventQueue`]) with sorted side lanes for pre-generated streams
+//! ([`Lanes`]), seeded random-number helpers ([`SimRng`]) and metric
 //! sinks ([`metrics::LatencyStats`], [`metrics::TimeSeries`],
 //! [`metrics::GbSecondMeter`]).  The actual cluster model — invokers,
 //! sandboxes, enclaves, FnPacker — lives in the higher-level crates and is
@@ -39,6 +40,6 @@ pub mod rng;
 pub mod time;
 
 pub use metrics::{GbSecondMeter, LatencyStats, TimeSeries};
-pub use queue::EventQueue;
+pub use queue::{Delivery, EventQueue, Lanes};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

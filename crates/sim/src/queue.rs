@@ -3,6 +3,15 @@
 //! A thin, deterministic wrapper over a binary heap: events scheduled for the
 //! same instant are delivered in insertion order, which keeps simulations
 //! reproducible regardless of heap internals.
+//!
+//! Long pre-generated streams (a workload's arrival trace) do not belong in
+//! the heap: they would make it O(trace) deep while the events a run really
+//! schedules are O(in-flight).  [`Lanes`] keeps each such stream as a sorted
+//! lane beside the heap and merges lane heads with the heap top at delivery
+//! time.  Adding a lane reserves one sequence number from the queue, so the
+//! whole lane orders against heap events exactly as if its items had been
+//! pushed one by one at that point: by time, then by the order of `push` /
+//! [`Lanes::add`] calls, then by input order within the lane.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -95,15 +104,45 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// Delivery key `(time, sequence)` of the next heap event.
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.at, e.seq))
+    }
+
+    /// Takes the next sequence number without scheduling anything: events
+    /// pushed earlier sort before it at equal times, events pushed later
+    /// after it.  [`Lanes::add`] stamps a whole lane with one.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `at` for an event delivered from outside the
+    /// heap (a lane item).
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current simulation time.
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "cannot deliver an event from the past (now={:?}, at={:?})",
+            self.now,
+            at
+        );
+        self.now = at;
+    }
+
     /// Current simulation time (timestamp of the last popped event).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Removes every pending event matching `predicate` (which sees the
-    /// event's scheduled time and payload) and returns them in delivery
+    /// Removes every pending heap event matching `predicate` (which sees
+    /// the event's scheduled time and payload) and returns them in delivery
     /// order (time, then insertion sequence), without advancing the clock.
+    /// Lane items are never extracted: the cost is O(heap), not O(trace).
     /// Failure injection uses this to cancel the in-flight work of a
     /// crashed node deterministically — the extraction order is exactly the
     /// order the events would have popped in — and to discard out-of-scope
@@ -119,7 +158,7 @@ impl<E> EventQueue<E> {
             }
         }
         self.heap = kept;
-        extracted.sort_unstable_by(|a, b| (a.at, a.seq).cmp(&(b.at, b.seq)));
+        extracted.sort_unstable_by_key(|e| (e.at, e.seq));
         extracted.into_iter().map(|e| (e.at, e.event)).collect()
     }
 
@@ -133,6 +172,100 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+/// One delivery from [`Lanes::pop`]: a lane item or a heap event.
+#[derive(Debug)]
+pub enum Delivery<T, E> {
+    /// The head of a lane.
+    Lane(T),
+    /// The top of the queue's heap.
+    Heap(E),
+}
+
+/// Sorted streams of items delivered beside an [`EventQueue`]'s heap.
+///
+/// Each [`Lanes::add`] call keeps its input as one lane, consumed through
+/// the input's own vector iterator (an already sorted input is never
+/// copied), and stamps it with one reserved sequence number of the queue.
+/// [`Lanes::pop`] delivers whichever of the earliest lane head and the heap
+/// top has the smaller `(time, sequence)` and advances the queue's clock.
+pub struct Lanes<T> {
+    /// Non-empty lanes only; an exhausted lane is dropped at once.
+    lanes: Vec<Lane<T>>,
+    at: fn(&T) -> SimTime,
+}
+
+struct Lane<T> {
+    seq: u64,
+    items: std::vec::IntoIter<T>,
+}
+
+impl<T> Lanes<T> {
+    /// No lanes; `at` reads an item's delivery time.
+    #[must_use]
+    pub fn new(at: fn(&T) -> SimTime) -> Self {
+        Lanes {
+            lanes: Vec::new(),
+            at,
+        }
+    }
+
+    /// Adds `items` as one lane ordered against `queue` as if each item had
+    /// been pushed now, in input order.  Unsorted input is stable-sorted by
+    /// time, so same-instant items keep their input order.
+    ///
+    /// # Panics
+    /// Panics if an item is due before the queue's current time.
+    pub fn add<E>(&mut self, queue: &mut EventQueue<E>, mut items: Vec<T>) {
+        let at = self.at;
+        if !items.windows(2).all(|pair| at(&pair[0]) <= at(&pair[1])) {
+            items.sort_by_key(at);
+        }
+        let Some(first) = items.first() else {
+            return;
+        };
+        assert!(
+            at(first) >= queue.now(),
+            "cannot schedule a lane in the past (now={:?}, at={:?})",
+            queue.now(),
+            at(first)
+        );
+        self.lanes.push(Lane {
+            seq: queue.reserve_seq(),
+            items: items.into_iter(),
+        });
+    }
+
+    /// Pops the next delivery across the lanes and `queue`'s heap,
+    /// advancing the queue's clock to its time.
+    pub fn pop<E>(&mut self, queue: &mut EventQueue<E>) -> Option<(SimTime, Delivery<T, E>)> {
+        let at = self.at;
+        let earliest = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(index, lane)| ((at(&lane.items.as_slice()[0]), lane.seq), index))
+            .min();
+        match earliest {
+            Some((key, index)) if queue.peek_key().map_or(true, |heap| key < heap) => {
+                let lane = &mut self.lanes[index];
+                let item = lane.items.next().expect("lanes are never empty");
+                if lane.items.as_slice().is_empty() {
+                    self.lanes.swap_remove(index);
+                }
+                queue.advance_to(key.0);
+                Some((key.0, Delivery::Lane(item)))
+            }
+            _ => queue.pop().map(|(at, event)| (at, Delivery::Heap(event))),
+        }
+    }
+
+    /// Whether every lane item has been delivered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
     }
 }
 
@@ -234,7 +367,105 @@ mod tests {
         assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
+    #[test]
+    fn lanes_merge_with_the_heap_by_time_then_call_order() {
+        let at = |item: &(u64, &'static str)| SimTime::from_millis(item.0);
+        let mut q = EventQueue::new();
+        let mut lanes = Lanes::new(at);
+        q.push(SimTime::from_millis(20), "push-before");
+        lanes.add(&mut q, vec![(20, "lane-a"), (10, "lane-b"), (20, "lane-c")]);
+        q.push(SimTime::from_millis(20), "push-after");
+        lanes.add(&mut q, vec![(5, "second-lane")]);
+        let mut order = Vec::new();
+        while let Some((t, delivery)) = lanes.pop(&mut q) {
+            assert_eq!(q.now(), t, "every delivery advances the clock");
+            order.push(match delivery {
+                Delivery::Lane((_, name)) | Delivery::Heap(name) => name,
+            });
+        }
+        assert_eq!(
+            order,
+            [
+                "second-lane",
+                "lane-b",
+                "push-before",
+                "lane-a",
+                "lane-c",
+                "push-after"
+            ]
+        );
+        assert!(lanes.is_empty() && q.is_empty());
+    }
+
+    /// Draws the next word of a splitmix64 stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random interleavings of pushes, sorted and unsorted lanes, and
+        /// deliveries, on a coarse time grid so same-instant ties are
+        /// common: lane-plus-heap delivery yields exactly the `(time,
+        /// payload)` sequence of a reference queue holding everything in its
+        /// heap.
+        #[test]
+        fn lanes_deliver_like_an_all_heap_queue(ops in proptest::collection::vec(0u64..u64::MAX, 1..120)) {
+            let mut reference = EventQueue::new();
+            let mut queue = EventQueue::new();
+            let mut lanes = Lanes::new(|item: &(SimTime, u64)| item.0);
+            let mut next_payload = 0u64;
+            let mut delivered = (Vec::new(), Vec::new());
+            let mut deliver = |reference: &mut EventQueue<u64>,
+                               queue: &mut EventQueue<u64>,
+                               lanes: &mut Lanes<(SimTime, u64)>| {
+                delivered.0.push(reference.pop());
+                delivered.1.push(lanes.pop(queue).map(|(t, delivery)| match delivery {
+                    Delivery::Lane((_, payload)) | Delivery::Heap(payload) => (t, payload),
+                }));
+            };
+            for word in ops {
+                let mut state = word;
+                let now = reference.now();
+                let mut offset = || SimDuration::from_millis(splitmix(&mut state) % 6);
+                match word % 8 {
+                    0..=2 => {
+                        let t = now + offset();
+                        reference.push(t, next_payload);
+                        queue.push(t, next_payload);
+                        next_payload += 1;
+                    }
+                    3 | 4 => {
+                        // Up to 48 items: long enough that an unstable sort
+                        // would reorder ties (short slices sort stably).
+                        let len = 1 + (word >> 8) % 48;
+                        let mut times: Vec<SimTime> = (0..len).map(|_| now + offset()).collect();
+                        if word % 8 == 3 {
+                            times.sort();
+                        }
+                        let mut lane = Vec::new();
+                        for t in times {
+                            reference.push(t, next_payload);
+                            lane.push((t, next_payload));
+                            next_payload += 1;
+                        }
+                        lanes.add(&mut queue, lane);
+                    }
+                    _ => deliver(&mut reference, &mut queue, &mut lanes),
+                }
+                prop_assert_eq!(reference.now(), queue.now());
+            }
+            while !reference.is_empty() {
+                deliver(&mut reference, &mut queue, &mut lanes);
+            }
+            prop_assert!(queue.is_empty() && lanes.is_empty());
+            prop_assert_eq!(delivered.0, delivered.1);
+        }
+
         #[test]
         fn popped_timestamps_are_monotone(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut q = EventQueue::new();

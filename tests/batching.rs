@@ -280,7 +280,7 @@ fn fnpacker_stickiness_concentrates_peers_for_the_batching_window() {
             .invoker_memory_bytes(one_container_budget(&profile))
             .routing(sesemi_fnpacker::RoutingStrategy::FnPacker)
             .batching(BatchingConfig { window })
-            .model(model.clone(), profile.clone())
+            .model(model.clone(), profile)
             .prewarm(model.clone(), 0, 1)
             .traffic(
                 model.clone(),
