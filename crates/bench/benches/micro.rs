@@ -34,6 +34,12 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("aes128gcm_seal_64KiB", |b| {
         b.iter(|| gcm.seal(&nonce, &payload, b"model"))
     });
+    // SeMIRT's model decrypt, at the size of `perfbench`'s serve-multitenant
+    // models.
+    let model = gcm.seal(&nonce, &vec![0xCDu8; 175 * 1024], b"model");
+    group.bench_function("aes128gcm_open_175KiB", |b| {
+        b.iter(|| gcm.open(&nonce, &model, b"model").unwrap())
+    });
     let chacha = ChaCha20Poly1305::new(&key);
     group.bench_function("chacha20poly1305_seal_64KiB", |b| {
         b.iter(|| chacha.seal(&nonce, &payload, b"model"))

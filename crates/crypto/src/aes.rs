@@ -1,10 +1,12 @@
 //! AES-128 block cipher (FIPS 197).
 //!
 //! Only the forward cipher is implemented because GCM (CTR-based) never needs
-//! the inverse cipher.  The implementation is a straightforward S-box /
-//! MixColumns formulation; it favours clarity over speed, which is acceptable
-//! because bulk encryption of models happens off the latency-critical path and
-//! the simulator models full-scale costs separately.
+//! the inverse cipher.  Rounds use the classic T-table formulation over `u32`
+//! column words: four 256-entry tables, built at compile time from the S-box,
+//! fold SubBytes, ShiftRows and MixColumns into sixteen lookups per round, and
+//! the final round goes through the S-box alone.  Speed matters here: besides
+//! request and response encryption, SeMIRT decrypts each model on the cold and
+//! model-switch paths, so this cipher sits on the latency-critical path.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -34,54 +36,96 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+/// Multiplication by x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
+const fn xtime(x: u8) -> u8 {
+    (x << 1) ^ ((x >> 7) * 0x1b)
+}
+
+/// Builds one round table: entry `x` is the MixColumns column
+/// `(2·S[x], S[x], S[x], 3·S[x])` as a big-endian word, rotated right by
+/// `rot` bits so the same lookup serves each of the four state rows.
+const fn round_table(rot: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        table[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]).rotate_right(rot);
+        i += 1;
+    }
+    table
+}
+
+static TE0: [u32; 256] = round_table(0);
+static TE1: [u32; 256] = round_table(8);
+static TE2: [u32; 256] = round_table(16);
+static TE3: [u32; 256] = round_table(24);
+
+/// Byte `row` of column word `w` (row 0 is the most significant byte), as a
+/// table index.
+fn byte(w: u32, row: usize) -> usize {
+    usize::from((w >> (24 - 8 * row)) as u8)
+}
+
+/// `SBOX[x]` applied to each byte of a word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(std::array::from_fn(|row| SBOX[byte(w, row)]))
+}
+
 /// An expanded AES-128 key schedule.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; BLOCK_LEN]; ROUNDS + 1],
+    /// Round keys as big-endian column words, four per round.
+    round_keys: [u32; 4 * (ROUNDS + 1)],
 }
 
 impl Aes128 {
     /// Expands a 16-byte key into the round-key schedule.
     #[must_use]
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let mut words = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            words[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in 4..4 * (ROUNDS + 1) {
-            let mut temp = words[i - 1];
+        for i in 4..w.len() {
+            let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for byte in &mut temp {
-                    *byte = SBOX[*byte as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                words[i][j] = words[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; BLOCK_LEN]; ROUNDS + 1];
-        for round in 0..=ROUNDS {
-            for word in 0..4 {
-                round_keys[round][4 * word..4 * word + 4].copy_from_slice(&words[4 * round + word]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
     }
 
     /// Encrypts a single 16-byte block in place.
+    ///
+    /// Row `r` of output column `c` takes its input from column `c + r`
+    /// (mod 4): that is ShiftRows, folded into which word each lookup reads.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let rk = &self.round_keys;
+        let mut s: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ rk[c]
+        });
+        for k in rk[4..4 * ROUNDS].chunks_exact(4) {
+            s = std::array::from_fn(|c| {
+                TE0[byte(s[c], 0)]
+                    ^ TE1[byte(s[(c + 1) % 4], 1)]
+                    ^ TE2[byte(s[(c + 2) % 4], 2)]
+                    ^ TE3[byte(s[(c + 3) % 4], 3)]
+                    ^ k[c]
+            });
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        let k = &rk[4 * ROUNDS..];
+        for c in 0..4 {
+            let word =
+                u32::from_be_bytes(std::array::from_fn(|row| SBOX[byte(s[(c + row) % 4], row)]));
+            block[4 * c..4 * c + 4].copy_from_slice(&(word ^ k[c]).to_be_bytes());
+        }
     }
 
     /// Encrypts a block and returns the result, leaving the input untouched.
@@ -93,53 +137,112 @@ impl Aes128 {
     }
 }
 
-fn add_round_key(state: &mut [u8; BLOCK_LEN], round_key: &[u8; BLOCK_LEN]) {
-    for i in 0..BLOCK_LEN {
-        state[i] ^= round_key[i];
-    }
-}
+/// Textbook AES-128 that applies the S-box, ShiftRows and MixColumns one
+/// byte at a time: a test oracle that shares no round code with the
+/// T-table cipher.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BLOCK_LEN, KEY_LEN, RCON, ROUNDS, SBOX};
 
-fn sub_bytes(state: &mut [u8; BLOCK_LEN]) {
-    for byte in state.iter_mut() {
-        *byte = SBOX[*byte as usize];
+    /// Byte-wise AES-128.
+    pub(crate) struct Aes128 {
+        round_keys: [[u8; BLOCK_LEN]; ROUNDS + 1],
     }
-}
 
-// The AES state is column-major: byte `state[c*4 + r]` is row r, column c.
-fn shift_rows(state: &mut [u8; BLOCK_LEN]) {
-    let original = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[col * 4 + row] = original[((col + row) % 4) * 4 + row];
+    impl Aes128 {
+        pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
+            let mut words = [[0u8; 4]; 4 * (ROUNDS + 1)];
+            for i in 0..4 {
+                words[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+            }
+            for i in 4..4 * (ROUNDS + 1) {
+                let mut temp = words[i - 1];
+                if i % 4 == 0 {
+                    temp.rotate_left(1);
+                    for byte in &mut temp {
+                        *byte = SBOX[*byte as usize];
+                    }
+                    temp[0] ^= RCON[i / 4 - 1];
+                }
+                for j in 0..4 {
+                    words[i][j] = words[i - 4][j] ^ temp[j];
+                }
+            }
+            let mut round_keys = [[0u8; BLOCK_LEN]; ROUNDS + 1];
+            for round in 0..=ROUNDS {
+                for word in 0..4 {
+                    round_keys[round][4 * word..4 * word + 4]
+                        .copy_from_slice(&words[4 * round + word]);
+                }
+            }
+            Aes128 { round_keys }
+        }
+
+        pub(crate) fn encrypt_block_copy(&self, block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+            let mut state = *block;
+            add_round_key(&mut state, &self.round_keys[0]);
+            for round in 1..ROUNDS {
+                sub_bytes(&mut state);
+                shift_rows(&mut state);
+                mix_columns(&mut state);
+                add_round_key(&mut state, &self.round_keys[round]);
+            }
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            add_round_key(&mut state, &self.round_keys[ROUNDS]);
+            state
         }
     }
-}
 
-fn xtime(x: u8) -> u8 {
-    let shifted = x << 1;
-    if x & 0x80 != 0 {
-        shifted ^ 0x1b
-    } else {
-        shifted
+    fn add_round_key(state: &mut [u8; BLOCK_LEN], round_key: &[u8; BLOCK_LEN]) {
+        for i in 0..BLOCK_LEN {
+            state[i] ^= round_key[i];
+        }
     }
-}
 
-fn mix_columns(state: &mut [u8; BLOCK_LEN]) {
-    for col in 0..4 {
-        let a0 = state[col * 4];
-        let a1 = state[col * 4 + 1];
-        let a2 = state[col * 4 + 2];
-        let a3 = state[col * 4 + 3];
-        state[col * 4] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
-        state[col * 4 + 1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
-        state[col * 4 + 2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
-        state[col * 4 + 3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
+    fn sub_bytes(state: &mut [u8; BLOCK_LEN]) {
+        for byte in state.iter_mut() {
+            *byte = SBOX[*byte as usize];
+        }
+    }
+
+    // The AES state is column-major: byte `state[c*4 + r]` is row r, column c.
+    fn shift_rows(state: &mut [u8; BLOCK_LEN]) {
+        let original = *state;
+        for row in 1..4 {
+            for col in 0..4 {
+                state[col * 4 + row] = original[((col + row) % 4) * 4 + row];
+            }
+        }
+    }
+
+    fn xtime(x: u8) -> u8 {
+        let shifted = x << 1;
+        if x & 0x80 != 0 {
+            shifted ^ 0x1b
+        } else {
+            shifted
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; BLOCK_LEN]) {
+        for col in 0..4 {
+            let a0 = state[col * 4];
+            let a1 = state[col * 4 + 1];
+            let a2 = state[col * 4 + 2];
+            let a3 = state[col * 4 + 3];
+            state[col * 4] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
+            state[col * 4 + 1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
+            state[col * 4 + 2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
+            state[col * 4 + 3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // FIPS 197 Appendix B example.
     #[test]
@@ -196,6 +299,18 @@ mod tests {
                 0x2b, 0x2e
             ]
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rounds_match_the_byte_wise_reference(key: [u8; 16], block: [u8; 16]) {
+            prop_assert_eq!(
+                Aes128::new(&key).encrypt_block_copy(&block),
+                reference::Aes128::new(&key).encrypt_block_copy(&block)
+            );
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub fn ct_select_u8(choice: u8, a: u8, b: u8) -> u8 {
     (a & mask) | (b & !mask)
 }
 
-/// Constant-time conditional swap of two 64-bit limbs arrays, used by the
-/// X25519 Montgomery ladder.
+/// Constant-time conditional swap of two arrays of five 64-bit limbs: the
+/// X25519 Montgomery ladder's swap of field elements.
 pub fn ct_swap_u64x5(choice: u64, a: &mut [u64; 5], b: &mut [u64; 5]) {
     debug_assert!(choice <= 1);
     let mask = choice.wrapping_neg();

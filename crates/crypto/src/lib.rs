@@ -22,9 +22,17 @@
 //! The implementations follow the published specifications (FIPS 180-4,
 //! RFC 2104, RFC 5869, NIST SP 800-38D, RFC 8439, RFC 7748) and are validated
 //! against the official test vectors in this crate's test-suite, but they have
-//! not been audited and make no claims about side-channel resistance beyond the
-//! constant-time tag comparisons.  They exist so the reproduction is fully
-//! self-contained, exactly like the paper's use of the SGX SDK crypto library.
+//! not been audited.  They exist so the reproduction is fully self-contained,
+//! exactly like the paper's use of the SGX SDK crypto library.  On side
+//! channels, three things hold for AES-GCM:
+//!
+//! * AES still indexes lookup tables by secret bytes (four round tables and
+//!   the S-box), as the byte-wise S-box cipher before it did, so it is open
+//!   to cache-timing attacks.
+//! * GHASH is branch-free and table-free: its carry-less multiply uses
+//!   integer multiplies on masked operands, never a branch or a table index
+//!   on secret data.
+//! * Tags are compared in constant time ([`ct::ct_eq`]).
 //!
 //! ## Example
 //!

@@ -8,6 +8,7 @@
 //! Field arithmetic over GF(2^255 - 19) uses five 51-bit limbs with `u128`
 //! intermediates (the classic "donna" representation).
 
+use crate::ct::ct_swap_u64x5;
 use crate::error::CryptoError;
 use rand::RngCore;
 
@@ -192,15 +193,6 @@ impl Fe {
     }
 }
 
-fn ct_swap(choice: u64, a: &mut Fe, b: &mut Fe) {
-    let mask = choice.wrapping_neg();
-    for i in 0..5 {
-        let t = mask & (a.0[i] ^ b.0[i]);
-        a.0[i] ^= t;
-        b.0[i] ^= t;
-    }
-}
-
 /// Clamps a 32-byte scalar as specified by RFC 7748 §5.
 #[must_use]
 pub fn clamp_scalar(mut scalar: [u8; 32]) -> [u8; 32] {
@@ -225,8 +217,8 @@ pub fn x25519(scalar: [u8; 32], point: [u8; 32]) -> [u8; 32] {
     for t in (0..255).rev() {
         let bit = ((scalar[t / 8] >> (t % 8)) & 1) as u64;
         swap ^= bit;
-        ct_swap(swap, &mut x2, &mut x3);
-        ct_swap(swap, &mut z2, &mut z3);
+        ct_swap_u64x5(swap, &mut x2.0, &mut x3.0);
+        ct_swap_u64x5(swap, &mut z2.0, &mut z3.0);
         swap = bit;
 
         let a = x2.add(z2);
@@ -244,8 +236,8 @@ pub fn x25519(scalar: [u8; 32], point: [u8; 32]) -> [u8; 32] {
         z2 = e.mul(aa.add(e.mul_small(121_665)));
     }
 
-    ct_swap(swap, &mut x2, &mut x3);
-    ct_swap(swap, &mut z2, &mut z3);
+    ct_swap_u64x5(swap, &mut x2.0, &mut x3.0);
+    ct_swap_u64x5(swap, &mut z2.0, &mut z3.0);
 
     x2.mul(z2.invert()).to_bytes()
 }
@@ -374,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn iterated_scalar_mult_1000_not_needed_but_one_iteration_matches() {
+    fn iterated_scalar_mult_one_iteration_matches() {
         // RFC 7748 §5.2: after one iteration of k := X25519(k, u) with
         // k = u = 9 we should get the listed value.
         let k = unhex32("0900000000000000000000000000000000000000000000000000000000000000");
@@ -382,6 +374,21 @@ mod tests {
         assert_eq!(
             hex(&out),
             "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
+        );
+    }
+
+    #[test]
+    fn iterated_scalar_mult_1000_iterations_match() {
+        // RFC 7748 §5.2: k := X25519(k, u), u := old k, starting from
+        // k = u = 9, a thousand times.
+        let mut k = base_point();
+        let mut u = base_point();
+        for _ in 0..1000 {
+            (k, u) = (x25519(k, u), k);
+        }
+        assert_eq!(
+            hex(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
         );
     }
 
