@@ -159,11 +159,11 @@ impl ServingStrategy {
         stages
     }
 
-    /// Whether this strategy keeps the enclave alive across invocations of a
-    /// warm sandbox.
+    /// Whether a warm sandbox keeps its state between invocations: every
+    /// strategy but Native, which tears the enclave down after each request.
     #[must_use]
-    pub fn reuses_enclave(self) -> bool {
-        matches!(self, ServingStrategy::Sesemi | ServingStrategy::IsoReuse)
+    pub fn keeps_warm_state(self) -> bool {
+        self != ServingStrategy::Native
     }
 
     /// Whether this strategy keeps the decrypted model and runtime across
@@ -246,8 +246,10 @@ mod tests {
         assert!(stages.contains(&ServingStage::EnclaveInit));
         assert!(stages.contains(&ServingStage::KeyFetch));
         assert_eq!(InvocationReport::classify(&stages), InvocationPath::Cold);
-        assert!(!ServingStrategy::Native.reuses_enclave());
-        assert!(ServingStrategy::Sesemi.reuses_enclave());
+        assert!(!ServingStrategy::Native.keeps_warm_state());
+        assert!(ServingStrategy::Sesemi.keeps_warm_state());
+        assert!(ServingStrategy::IsoReuse.keeps_warm_state());
+        assert!(ServingStrategy::Untrusted.keeps_warm_state());
     }
 
     #[test]

@@ -67,14 +67,14 @@ use crate::baseline::{SandboxWarmth, ServingStrategy};
 use keyservice::KeyServiceSim;
 use sesemi_enclave::{EnclaveCostModel, SgxVersion};
 use sesemi_fnpacker::{FnPool, Router, RoutingStrategy};
-use sesemi_inference::{ModelId, ModelProfile};
+use sesemi_inference::{ModelId, ModelProfile, StageCosts};
 use sesemi_keyservice::PartyId;
 use sesemi_platform::{
     metering::Metering, ActionName, ActionSpec, ActivationId, ActivationRecord, Controller,
     PlatformConfig, PlatformError, SandboxId, ScheduleOutcome,
 };
-use sesemi_runtime::{InvocationPath, InvocationReport, ServingStage};
-use sesemi_sim::{Delivery, EventQueue, Lanes, LatencyStats, SimDuration, SimTime, TimeSeries};
+use sesemi_runtime::{InvocationReport, ServingStage};
+use sesemi_sim::{Delivery, EventQueue, Lanes, SimDuration, SimTime};
 use sesemi_workload::{InteractiveSession, RequestArrival, Tier};
 use state::{Event, InFlight, Invocation, SandboxSimState, SimRequest};
 use std::collections::HashMap;
@@ -291,43 +291,12 @@ pub struct ClusterSimulation {
     node_snapshots_scratch: Vec<sesemi_platform::NodeSnapshot>,
     /// The simulated KeyService pool cold dispatches provision against.
     keyservice: KeyServiceSim,
-    // results
-    latency: LatencyStats,
-    per_model_latency: HashMap<ModelId, LatencyStats>,
-    latency_series: TimeSeries,
-    path_counts: HashMap<InvocationPath, u64>,
-    admitted: u64,
-    completed: u64,
-    dropped: u64,
-    rejected: u64,
-    shed: u64,
-    scale_out_events: u64,
-    scale_in_events: u64,
-    node_crashes: u64,
-    containers_killed: u64,
-    requeued_inflight: u64,
-    requeued_waiting: u64,
-    evictions_expired: u64,
-    evictions_pressure: u64,
-    evictions_drain: u64,
-    dispatched: u64,
-    cold_dispatches: u64,
-    batches_formed: u64,
-    batched_requests: u64,
-    max_batch: usize,
-    provisioned_keys: u64,
-    keyservice_wait: SimDuration,
-    keyservice_crashes: u64,
-    keyservice_failovers: u64,
-    events_processed: u64,
+    /// The run's tallies, filled in as events are handled; `run()` adds
+    /// the figures only known at the end (metering, cold starts, warm hits).
+    result: SimulationResult,
     per_model_warm_hits: HashMap<ModelId, u64>,
-    auxiliary_cold_starts: u64,
-    premigrated: u64,
     next_activation: u64,
     metering: Metering,
-    peak_sandboxes: usize,
-    peak_nodes: usize,
-    session_latencies: Vec<(String, ModelId, SimDuration)>,
 }
 
 impl ClusterSimulation {
@@ -454,42 +423,13 @@ impl ClusterSimulation {
             warm_candidates_scratch: Vec::new(),
             node_snapshots_scratch: Vec::new(),
             keyservice: KeyServiceSim::new(config.keyservice),
-            latency: LatencyStats::new(),
-            per_model_latency: HashMap::new(),
-            latency_series: TimeSeries::new(),
-            path_counts: HashMap::new(),
-            admitted: 0,
-            completed: 0,
-            dropped: 0,
-            rejected: 0,
-            shed: 0,
-            scale_out_events: 0,
-            scale_in_events: 0,
-            node_crashes: 0,
-            containers_killed: 0,
-            requeued_inflight: 0,
-            requeued_waiting: 0,
-            evictions_expired: 0,
-            evictions_pressure: 0,
-            evictions_drain: 0,
-            dispatched: 0,
-            cold_dispatches: 0,
-            batches_formed: 0,
-            batched_requests: 0,
-            max_batch: 0,
-            provisioned_keys: 0,
-            keyservice_wait: SimDuration::ZERO,
-            keyservice_crashes: 0,
-            keyservice_failovers: 0,
-            events_processed: 0,
+            result: SimulationResult {
+                peak_nodes: nodes,
+                ..SimulationResult::default()
+            },
             per_model_warm_hits: HashMap::new(),
-            auxiliary_cold_starts: 0,
-            premigrated: 0,
             next_activation: 0,
             metering: Metering::new(),
-            peak_sandboxes: 0,
-            peak_nodes: nodes,
-            session_latencies: Vec::new(),
             config,
         }
     }
@@ -629,7 +569,7 @@ impl ClusterSimulation {
             if outcome.is_cold_start() {
                 // Not request-driven: keeps the cold-start ledger closed
                 // (cold_starts == cold_dispatches + auxiliary_cold_starts).
-                self.auxiliary_cold_starts += 1;
+                self.result.auxiliary_cold_starts += 1;
             }
             let sandbox_id = outcome.sandbox();
             let spec_memory = self
@@ -653,8 +593,7 @@ impl ClusterSimulation {
                 spec_memory,
             );
             state.ready = true;
-            state.enclave_ready = self.config.strategy.reuses_enclave()
-                || self.config.strategy == ServingStrategy::Untrusted;
+            state.enclave_ready = self.config.strategy.keeps_warm_state();
             state.cached_keys = Some((user, model.clone()));
             state.loaded_model = Some(model.clone());
             for slot in state.slot_models.iter_mut() {
@@ -694,12 +633,7 @@ impl ClusterSimulation {
         (active / cores).max(1.0)
     }
 
-    fn price_stage(&self, stage: ServingStage, profile: &ModelProfile, node: usize) -> SimDuration {
-        let costs = if self.config.strategy == ServingStrategy::Untrusted {
-            profile.untrusted
-        } else {
-            profile.sgx2
-        };
+    fn price_stage(&self, stage: ServingStage, costs: &StageCosts, node: usize) -> SimDuration {
         let epc = self.epc_pressure(node);
         match stage {
             ServingStage::EnclaveInit => {
@@ -740,10 +674,17 @@ impl ClusterSimulation {
         extras: Vec<SimRequest>,
         now: SimTime,
     ) {
-        let profile = *self
+        let profile = self
             .profiles
             .get(&request.model)
             .expect("model registered with the simulation");
+        // Untrusted serving runs outside any enclave; the TEE strategies pay
+        // the SGX2-calibrated stage costs.
+        let costs = if self.config.strategy == ServingStrategy::Untrusted {
+            profile.untrusted
+        } else {
+            profile.sgx2
+        };
         let user = self.user(request.user_index);
         let action = self
             .controller
@@ -774,9 +715,7 @@ impl ClusterSimulation {
         // Update sandbox state to reflect what the invocation leaves behind.
         state.slot_busy[slot] = true;
         state.slot_models[slot] = Some(request.model.clone());
-        if self.config.strategy.reuses_enclave()
-            || self.config.strategy == ServingStrategy::Untrusted
-        {
+        if self.config.strategy.keeps_warm_state() {
             state.enclave_ready = true;
         }
         state.cached_keys = Some((user, request.model.clone()));
@@ -799,7 +738,7 @@ impl ClusterSimulation {
             // for every invocation, with no float round-trips to drift the
             // pinned goldens.
             stages.iter().fold(SimDuration::ZERO, |acc, stage| {
-                acc + self.price_stage(*stage, &profile, node)
+                acc + self.price_stage(*stage, &costs, node)
             })
         } else {
             debug_assert!(
@@ -808,18 +747,13 @@ impl ClusterSimulation {
                     .all(|e| e.model == request.model && e.user_index == request.user_index),
                 "batches never mix users or models"
             );
-            self.batches_formed += 1;
-            self.batched_requests += batch_size as u64;
-            self.max_batch = self.max_batch.max(batch_size);
+            self.result.batches_formed += 1;
+            self.result.batched_requests += batch_size as u64;
+            self.result.max_batch = self.result.max_batch.max(batch_size);
             // Shared stages are paid once for the whole batch; the per-item
             // stages scale: request crypto linearly, model execution on the
             // calibrated sub-linear batch curve (with the same CPU/EPC
             // contention factors a solo execution would see).
-            let costs = if self.config.strategy == ServingStrategy::Untrusted {
-                profile.untrusted
-            } else {
-                profile.sgx2
-            };
             stages.iter().fold(SimDuration::ZERO, |acc, stage| {
                 acc + match stage {
                     ServingStage::RequestDecrypt | ServingStage::ResultEncrypt => {
@@ -828,7 +762,7 @@ impl ClusterSimulation {
                     ServingStage::ModelExec => costs
                         .batched(batch_size)
                         .mul_f64(self.cpu_factor(node) * self.epc_pressure(node)),
-                    other => self.price_stage(*other, &profile, node),
+                    other => self.price_stage(*other, &costs, node),
                 }
             })
         };
@@ -871,10 +805,10 @@ impl ClusterSimulation {
         // by construction (asserted corpus-wide).  Batched extras ride a warm
         // container by construction: they dispatch as warm hits, while only
         // the head can pay (and count) the cold start its container needed.
-        self.dispatched += 1 + extras.len() as u64;
+        self.result.dispatched += 1 + extras.len() as u64;
         if is_cold {
             debug_assert!(extras.is_empty(), "batches only form on warm dispatches");
-            self.cold_dispatches += 1;
+            self.result.cold_dispatches += 1;
         } else {
             *self
                 .per_model_warm_hits
@@ -900,8 +834,8 @@ impl ClusterSimulation {
                 if let Some((provisioned, wait)) =
                     self.keyservice.provision(sandbox_id, user_index, boot_done)
                 {
-                    self.provisioned_keys += 1;
-                    self.keyservice_wait += wait;
+                    self.result.provisioned_keys += 1;
+                    self.result.keyservice_wait += wait;
                     self.queue
                         .push(provisioned, Event::SandboxReady(sandbox_id));
                 }
@@ -926,7 +860,7 @@ impl ClusterSimulation {
             // Issued past the measurement horizon (closed-loop session
             // follow-ups, trace items beyond it): refused at admission,
             // traced instead of silently discarded.
-            self.rejected += 1;
+            self.result.rejected += 1;
         }
     }
 
@@ -949,35 +883,27 @@ impl ClusterSimulation {
                 // without consulting the admission policy: no policy can
                 // reject while a free warm slot (or room for a fresh
                 // container) exists.
-                self.admitted += 1;
+                self.result.admitted += 1;
                 self.dispatch(&outcome, request, Vec::new(), now);
             }
             Err(_) => match self.admission_verdict(&request, now) {
                 AdmissionVerdict::Admit => {
                     // Cluster saturated: queue and retry when capacity
                     // frees up (the pre-admission-control behavior).
-                    self.admitted += 1;
-                    *self
-                        .saturated_action_counts
-                        .entry(action.clone())
-                        .or_insert(0) += 1;
-                    self.saturated.push_back((action, request));
+                    self.result.admitted += 1;
+                    self.enqueue_saturated(action, request);
                 }
                 AdmissionVerdict::Reject => {
                     // Never admitted: unwind the router's pending slot and
                     // leave no other trace — no latency sample, no
                     // per-model totals, no GB·s.
-                    self.rejected += 1;
+                    self.result.rejected += 1;
                     self.router.cancel(&request.model, &action);
                 }
                 AdmissionVerdict::AdmitShedding { victim } => {
                     self.shed_queued(victim);
-                    self.admitted += 1;
-                    *self
-                        .saturated_action_counts
-                        .entry(action.clone())
-                        .or_insert(0) += 1;
-                    self.saturated.push_back((action, request));
+                    self.result.admitted += 1;
+                    self.enqueue_saturated(action, request);
                 }
             },
         }
@@ -1005,8 +931,8 @@ impl ClusterSimulation {
         let busy_slots: usize = self.node_active_exec.iter().sum();
         let busy_integral_now = self.busy_exec_integral
             + busy_slots as f64 * now.duration_since(self.busy_accrued_at).as_secs_f64();
-        let mean_service = if self.completed > 0 {
-            SimDuration::from_secs_f64(busy_integral_now / self.completed as f64)
+        let mean_service = if self.result.completed > 0 {
+            SimDuration::from_secs_f64(busy_integral_now / self.result.completed as f64)
         } else {
             SimDuration::ZERO
         };
@@ -1037,9 +963,18 @@ impl ClusterSimulation {
             return;
         };
         Self::forget_saturated_entry(&mut self.saturated_action_counts, &action);
-        self.dropped += 1;
-        self.shed += 1;
+        self.result.dropped += 1;
+        self.result.shed += 1;
         self.router.cancel(&request.model, &action);
+    }
+
+    /// Appends an admitted request to the back of the saturated queue.
+    fn enqueue_saturated(&mut self, action: ActionName, request: SimRequest) {
+        *self
+            .saturated_action_counts
+            .entry(action.clone())
+            .or_insert(0) += 1;
+        self.saturated.push_back((action, request));
     }
 
     /// Decrements the saturated-queue count of `action` (removing the entry
@@ -1191,7 +1126,10 @@ impl ClusterSimulation {
     }
 
     fn record_cluster_state(&mut self, now: SimTime) {
-        self.peak_sandboxes = self.peak_sandboxes.max(self.controller.sandbox_count());
+        self.result.peak_sandboxes = self
+            .result
+            .peak_sandboxes
+            .max(self.controller.sandbox_count());
         self.metering.record_cluster_state(
             now,
             self.controller.committed_memory_bytes(),
@@ -1240,9 +1178,7 @@ impl ClusterSimulation {
         }
         if let Some(state) = self.sandbox_state.get_mut(&sandbox_id) {
             state.slot_busy[slot] = false;
-            if !self.config.strategy.reuses_enclave()
-                && self.config.strategy != ServingStrategy::Untrusted
-            {
+            if !self.config.strategy.keeps_warm_state() {
                 state.enclave_ready = false;
                 state.cached_keys = None;
                 state.loaded_model = None;
@@ -1259,14 +1195,17 @@ impl ClusterSimulation {
         // advance — so conservation and the latency ledgers hold per item.
         for request in std::iter::once(request).chain(extra) {
             let latency = now.duration_since(request.submitted);
-            self.latency.record(latency);
-            self.per_model_latency
+            self.result.latency.record(latency);
+            self.result
+                .per_model_latency
                 .entry(request.model.clone())
                 .or_default()
                 .record(latency);
-            self.latency_series.record(now, latency.as_secs_f64());
-            *self.path_counts.entry(path).or_insert(0) += 1;
-            self.completed += 1;
+            self.result
+                .latency_series
+                .record(now, latency.as_secs_f64());
+            *self.result.path_counts.entry(path).or_insert(0) += 1;
+            self.result.completed += 1;
             self.router
                 .complete(&request.model, &action, now, latency, path.label());
 
@@ -1274,8 +1213,11 @@ impl ClusterSimulation {
             // next query of the session immediately.
             if let Some(session_index) = request.session {
                 let session = &mut self.sessions[session_index];
-                self.session_latencies
-                    .push((session.name.clone(), request.model.clone(), latency));
+                self.result.session_latencies.push((
+                    session.name.clone(),
+                    request.model.clone(),
+                    latency,
+                ));
                 session.advance();
                 if !session.is_finished() {
                     self.queue.push(now, Event::SessionArrival(session_index));
@@ -1333,7 +1275,7 @@ impl ClusterSimulation {
                 self.node_enclave_bytes[state.node] =
                     self.node_enclave_bytes[state.node].saturating_sub(state.enclave_bytes);
                 while let Some(request) = state.waiting.pop_front() {
-                    self.requeued_waiting += 1;
+                    self.result.requeued_waiting += 1;
                     rescued.push((state.action.clone(), request));
                 }
             }
@@ -1392,7 +1334,7 @@ impl ClusterSimulation {
                 // Every request riding the killed batch is rescued — head
                 // and extras alike — so conservation survives the fault.
                 for request in std::iter::once(request).chain(extra) {
-                    self.requeued_inflight += 1;
+                    self.result.requeued_inflight += 1;
                     rescued.push((action.clone(), request));
                 }
             }
@@ -1413,7 +1355,7 @@ impl ClusterSimulation {
         let Ok(killed) = self.controller.crash_node(node) else {
             return;
         };
-        self.node_crashes += 1;
+        self.result.node_crashes += 1;
         self.kill_sandboxes(&killed, now);
         self.scheduler
             .on_membership_change(&self.controller.active_nodes());
@@ -1428,7 +1370,7 @@ impl ClusterSimulation {
         if let Some(mut scaler) = self.autoscaler.take() {
             let staying = self.controller.active_node_count() + scaler.pending_nodes();
             for _ in staying..scaler.config().min_nodes {
-                self.scale_out_events += 1;
+                self.result.scale_out_events += 1;
                 scaler.node_requested();
                 self.queue.push(
                     now + scaler.config().node_provision_delay,
@@ -1457,7 +1399,7 @@ impl ClusterSimulation {
         if victims.is_empty() {
             return;
         }
-        self.containers_killed += victims.len() as u64;
+        self.result.containers_killed += victims.len() as u64;
         for id in &victims {
             self.controller
                 .kill_sandbox(*id)
@@ -1482,7 +1424,7 @@ impl ClusterSimulation {
         let Some(victims) = self.keyservice.crash(replica, now) else {
             return;
         };
-        self.keyservice_crashes += 1;
+        self.result.keyservice_crashes += 1;
         if !victims.is_empty() {
             let _ = self.queue.extract(|_, event| {
                 matches!(event, Event::SandboxReady(sandbox)
@@ -1492,8 +1434,8 @@ impl ClusterSimulation {
                 if let Some((provisioned, wait)) =
                     self.keyservice.provision(sandbox, user_index, now)
                 {
-                    self.keyservice_failovers += 1;
-                    self.keyservice_wait += wait;
+                    self.result.keyservice_failovers += 1;
+                    self.result.keyservice_wait += wait;
                     self.queue.push(provisioned, Event::SandboxReady(sandbox));
                 }
             }
@@ -1575,9 +1517,9 @@ impl ClusterSimulation {
         let mut evicted = Vec::with_capacity(verdicts.len());
         for verdict in &verdicts {
             match verdict.reason {
-                EvictionReason::Expired => self.evictions_expired += 1,
-                EvictionReason::Pressure => self.evictions_pressure += 1,
-                EvictionReason::Drain => self.evictions_drain += 1,
+                EvictionReason::Expired => self.result.evictions_expired += 1,
+                EvictionReason::Pressure => self.result.evictions_pressure += 1,
+                EvictionReason::Drain => self.result.evictions_drain += 1,
             }
             evicted.push(verdict.sandbox);
         }
@@ -1630,14 +1572,14 @@ impl ClusterSimulation {
         match scaler.observe(&signals) {
             ScaleDecision::Hold => {}
             ScaleDecision::ScaleOut => {
-                self.scale_out_events += 1;
+                self.result.scale_out_events += 1;
                 self.queue.push(
                     now + scaler.config().node_provision_delay,
                     Event::NodeProvisioned,
                 );
             }
             ScaleDecision::ScaleIn => {
-                self.scale_in_events += 1;
+                self.result.scale_in_events += 1;
                 self.drain_for_scale_in(now);
             }
         }
@@ -1678,7 +1620,7 @@ impl ClusterSimulation {
             .controller
             .drain_node(victim)
             .expect("victim is active");
-        self.evictions_drain += evicted.len() as u64;
+        self.result.evictions_drain += evicted.len() as u64;
         let rescued = self.cleanup_evicted(&evicted);
         self.requeue_rescued(rescued);
         self.scheduler
@@ -1791,8 +1733,7 @@ impl ClusterSimulation {
             .memory_bytes;
         let mut state =
             SandboxSimState::new(node, action, self.config.tcs_per_container, spec_memory);
-        state.enclave_ready = self.config.strategy.reuses_enclave()
-            || self.config.strategy == ServingStrategy::Untrusted;
+        state.enclave_ready = self.config.strategy.keeps_warm_state();
         state.loaded_model = if self.config.strategy.reuses_model() {
             Some(model)
         } else {
@@ -1804,8 +1745,8 @@ impl ClusterSimulation {
             now + self.config.sandbox_cold_start,
             Event::SandboxReady(sandbox_id),
         );
-        self.premigrated += 1;
-        self.auxiliary_cold_starts += 1;
+        self.result.premigrated += 1;
+        self.result.auxiliary_cold_starts += 1;
     }
 
     /// A node requested by the autoscaler joins the pool.
@@ -1822,7 +1763,8 @@ impl ClusterSimulation {
         }
         self.scheduler
             .on_membership_change(&self.controller.active_nodes());
-        self.peak_nodes = self
+        self.result.peak_nodes = self
+            .result
             .peak_nodes
             .max(self.controller.provisioned_node_count());
         self.record_node_membership(now);
@@ -1908,7 +1850,7 @@ impl ClusterSimulation {
         });
 
         while let Some((now, delivery)) = self.arrivals.pop(&mut self.queue) {
-            self.events_processed += 1;
+            self.result.events_processed += 1;
             match delivery {
                 Delivery::Lane(arrival) => self.admit_or_refuse(arrival.into(), now, end),
                 Delivery::Heap(event) => self.handle_event(event, now, end),
@@ -1918,15 +1860,15 @@ impl ClusterSimulation {
         // Conservation accounting: whatever the cluster admitted but never
         // served is *dropped*, not silently forgotten — requests still in
         // the saturated queue plus any parked in a sandbox's waiting queue.
-        self.dropped += self.saturated.len() as u64;
-        self.dropped += self
+        self.result.dropped += self.saturated.len() as u64;
+        self.result.dropped += self
             .sandbox_state
             .values()
             .map(|state| state.waiting.len() as u64)
             .sum::<u64>();
         assert_eq!(
-            self.admitted,
-            self.completed + self.dropped,
+            self.result.admitted,
+            self.result.completed + self.result.dropped,
             "request conservation violated: admitted != completed + dropped"
         );
 
@@ -1945,13 +1887,13 @@ impl ClusterSimulation {
             .collect();
         per_model_warm_hits.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(
-            per_model_warm_hits.iter().map(|(_, n)| n).sum::<u64>() + self.cold_dispatches,
-            self.dispatched,
+            per_model_warm_hits.iter().map(|(_, n)| n).sum::<u64>() + self.result.cold_dispatches,
+            self.result.dispatched,
             "warm-hit ledger out of balance"
         );
         assert_eq!(
             self.controller.cold_start_count(),
-            self.cold_dispatches + self.auxiliary_cold_starts,
+            self.result.cold_dispatches + self.result.auxiliary_cold_starts,
             "cold-start ledger out of balance"
         );
         let gb_seconds = self.metering.cluster_gb_seconds(final_time);
@@ -1959,48 +1901,16 @@ impl ClusterSimulation {
         let peak_memory_bytes = self.metering.peak_memory_bytes();
         let (memory_series, sandbox_series, node_series) = self.metering.into_series();
         SimulationResult {
-            latency: self.latency,
-            per_model_latency: self.per_model_latency,
-            latency_series: self.latency_series,
-            path_counts: self.path_counts,
-            admitted: self.admitted,
-            completed: self.completed,
-            dropped: self.dropped,
-            rejected: self.rejected,
-            shed: self.shed,
             cold_starts: self.controller.cold_start_count(),
-            peak_sandboxes: self.peak_sandboxes,
             gb_seconds,
             node_gb_seconds,
             per_action_gb_seconds,
             peak_memory_bytes,
-            peak_nodes: self.peak_nodes,
-            scale_out_events: self.scale_out_events,
-            scale_in_events: self.scale_in_events,
-            node_crashes: self.node_crashes,
-            containers_killed: self.containers_killed,
-            requeued_inflight: self.requeued_inflight,
-            requeued_waiting: self.requeued_waiting,
-            evictions_expired: self.evictions_expired,
-            evictions_pressure: self.evictions_pressure,
-            evictions_drain: self.evictions_drain,
-            dispatched: self.dispatched,
-            cold_dispatches: self.cold_dispatches,
             per_model_warm_hits,
-            auxiliary_cold_starts: self.auxiliary_cold_starts,
-            premigrated: self.premigrated,
-            batches_formed: self.batches_formed,
-            batched_requests: self.batched_requests,
-            max_batch: self.max_batch,
-            provisioned_keys: self.provisioned_keys,
-            keyservice_wait: self.keyservice_wait,
-            keyservice_crashes: self.keyservice_crashes,
-            keyservice_failovers: self.keyservice_failovers,
-            events_processed: self.events_processed,
             sandbox_series,
             memory_series,
             node_series,
-            session_latencies: self.session_latencies,
+            ..self.result
         }
     }
 }
@@ -2042,6 +1952,7 @@ pub fn strong_isolation_hot_latency(profile: &ModelProfile) -> SimDuration {
 mod tests {
     use super::*;
     use sesemi_inference::{Framework, ModelKind};
+    use sesemi_runtime::InvocationPath;
     use sesemi_sim::SimRng;
     use sesemi_workload::ArrivalProcess;
 
@@ -2270,18 +2181,33 @@ mod tests {
     #[test]
     fn a_run_with_no_arrivals_yields_zeroed_but_total_metrics() {
         // Degenerate experiment: nothing ever arrives.  Every summary query
-        // must stay total (no panics, no NaNs) and report zeros.
+        // must stay total (no panics, no NaNs) and report zeros; the only
+        // events are the keep-alive eviction ticks (every 10 s, strictly
+        // before the horizon), and the idle pool is still billed.
         let (model, profile) = profile(ModelKind::MbNet, Framework::Tvm);
-        let sim = ClusterSimulation::new(ClusterConfig::single_node_sgx2(), vec![(model, profile)]);
-        let result = sim.run(SimDuration::from_secs(10));
-        assert_eq!(result.completed, 0);
-        assert_eq!(result.mean_latency(), SimDuration::ZERO);
-        assert_eq!(result.p95_latency(), SimDuration::ZERO);
-        assert_eq!(result.p99_latency(), SimDuration::ZERO);
-        assert_eq!(result.hot_fraction(), 0.0);
-        assert_eq!(result.path_fraction(InvocationPath::Cold), 0.0);
-        assert!(result.latency.is_empty());
-        assert_eq!(result.cold_starts, 0);
+        for (config, horizon_secs, ticks, nodes) in [
+            (ClusterConfig::single_node_sgx2(), 10, 0, 1),
+            (ClusterConfig::multi_node_sgx2(), 35, 3, 8),
+        ] {
+            let sim = ClusterSimulation::new(config, vec![(model.clone(), profile)]);
+            let result = sim.run(SimDuration::from_secs(horizon_secs));
+            assert_eq!(result.completed, 0);
+            assert_eq!(result.mean_latency(), SimDuration::ZERO);
+            assert_eq!(result.p95_latency(), SimDuration::ZERO);
+            assert_eq!(result.p99_latency(), SimDuration::ZERO);
+            assert_eq!(result.hot_fraction(), 0.0);
+            assert_eq!(result.path_fraction(InvocationPath::Cold), 0.0);
+            assert!(result.latency.is_empty());
+            assert_eq!(result.cold_starts, 0);
+            assert_eq!(result.peak_nodes, nodes);
+            assert_eq!(result.admitted, 0);
+            assert_eq!(result.dropped, 0);
+            assert_eq!(result.rejected, 0);
+            assert_eq!(result.dispatched, 0);
+            assert_eq!(result.cold_dispatches, 0);
+            assert_eq!(result.events_processed, ticks);
+            assert!(result.node_gb_seconds > 0.0);
+        }
     }
 
     #[test]
@@ -2941,7 +2867,10 @@ mod tests {
         };
         let mut sim = ClusterSimulation::new(config, vec![(model.clone(), profile)]);
         sim.prewarm(&model, 0, 3);
-        assert_eq!(sim.auxiliary_cold_starts, 1, "one container, re-warmed");
+        assert_eq!(
+            sim.result.auxiliary_cold_starts, 1,
+            "one container, re-warmed"
+        );
         // No arrivals: only eviction ticks run.  The lone warm container is
         // far under the EPC, so no pressure eviction may fire.
         let result = sim.run(SimDuration::from_secs(25));
@@ -3048,12 +2977,18 @@ mod tests {
             // First scale-in: node 1 holds no warm pool at all (aggregate
             // value 0) and is retired without any migration.
             sim.drain_for_scale_in(SimTime::from_secs(1));
-            assert_eq!(sim.premigrated, 0, "an empty node needs no migration");
+            assert_eq!(
+                sim.result.premigrated, 0,
+                "an empty node needs no migration"
+            );
             // Second scale-in: nodes 0 and 2 tie on warm-pool value (one
             // sticky container each); the id tie-break drains node 2, and
             // "right"'s warm capacity is pre-migrated onto node 0.
             sim.drain_for_scale_in(SimTime::from_secs(2));
-            assert_eq!(sim.premigrated, 1, "the drained warm pool must migrate");
+            assert_eq!(
+                sim.result.premigrated, 1,
+                "the drained warm pool must migrate"
+            );
             // A trailing trickle on both models is served by the surviving
             // (partly migrated) warm pool — no request-driven cold start.
             sim.add_arrivals(

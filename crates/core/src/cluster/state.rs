@@ -213,7 +213,7 @@ impl SandboxSimState {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimulationResult {
     /// End-to-end latency of every completed request.
     pub latency: LatencyStats,
